@@ -352,6 +352,23 @@ mod tests {
     }
 
     #[test]
+    fn hostile_shard_count_is_refused() {
+        let dir = scratch("hostile_shards");
+        generate_into_store(UniverseConfig::small(2019, 80), &dir, 2).expect("generate");
+        let json = fs::read_to_string(manifest_path(&dir)).expect("manifest");
+        for shards in ["0", "257", "4294967295"] {
+            let hostile = json.replace("\"shards\": 2", &format!("\"shards\": {shards}"));
+            assert_ne!(hostile, json);
+            fs::write(manifest_path(&dir), hostile).expect("rewrite manifest");
+            assert!(
+                matches!(scrub_store(&dir), Err(StoreError::Manifest(_))),
+                "{shards} shards"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn clean_store_scrub_is_a_noop() {
         let dir = scratch("noop");
         let config = UniverseConfig::small(2019, 80);

@@ -64,6 +64,10 @@ use std::path::{Path, PathBuf};
 /// Current store format version; readers reject anything else.
 pub const STORE_VERSION: u64 = 1;
 
+/// Most shard files a store has; writers clamp to it, readers reject
+/// manifests beyond it.
+pub(crate) const MAX_SHARDS: usize = 256;
+
 /// Shard-file magic.
 pub(crate) const SHARD_MAGIC: &[u8; 8] = b"SCHEVOST";
 
@@ -329,7 +333,7 @@ impl StoreWriter {
         config: UniverseConfig,
         shards: usize,
     ) -> Result<StoreWriter, StoreError> {
-        let shards = shards.clamp(1, 256);
+        let shards = shards.clamp(1, MAX_SHARDS);
         fs::create_dir_all(dir)?;
         // A stale manifest must not describe the half-written new store.
         let _ = fs::remove_file(manifest_path(dir));
@@ -563,6 +567,15 @@ impl ShardStore {
             return Err(StoreError::Manifest(format!(
                 "unsupported store version {} (this build reads {STORE_VERSION})",
                 manifest.store_version
+            )));
+        }
+        // Readers, appenders and scrub size their per-shard state from
+        // this field, so it must be one a writer could have produced.
+        if !(1..=MAX_SHARDS as u64).contains(&manifest.shards) {
+            return Err(StoreError::Manifest(format!(
+                "{}: {} shards (a store has 1 to {MAX_SHARDS})",
+                path.display(),
+                manifest.shards
             )));
         }
         Ok(ShardStore {

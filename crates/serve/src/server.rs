@@ -1,5 +1,5 @@
 //! The resident study server: one warm [`MiningEngine`] configuration,
-//! one open shard store, one shared parse/diff cache — answering
+//! one shard store, one shared parse/diff cache — answering
 //! concurrent study requests with admission control, per-request
 //! watchdog deadlines, queryable results, and Prometheus metrics.
 //!
@@ -124,7 +124,6 @@ pub enum Listener {
 #[derive(Debug)]
 pub struct Server {
     config: ServerConfig,
-    store: ShardStore,
     warm: WarmCaches,
     inflight: AtomicUsize,
     served: AtomicU64,
@@ -254,11 +253,11 @@ struct SlowSpan {
 }
 
 impl Server {
-    /// Open the store and build a server around it. When
+    /// Check that the store opens and build a server around it. When
     /// [`ServerConfig::profile_interval_ms`] is nonzero the sampling
     /// profiler starts immediately (always-on profiling).
     pub fn new(config: ServerConfig) -> Result<Server, StoreError> {
-        let store = ShardStore::open(&config.store_dir)?;
+        ShardStore::open(&config.store_dir)?;
         let request_log = config
             .request_log
             .as_ref()
@@ -272,7 +271,6 @@ impl Server {
         }
         Ok(Server {
             config,
-            store,
             warm: WarmCaches::new(),
             inflight: AtomicUsize::new(0),
             served: AtomicU64::new(0),
@@ -304,9 +302,13 @@ impl Server {
         self.draining.load(Ordering::SeqCst)
     }
 
-    /// The manifest of the store being served.
-    pub fn store_manifest(&self) -> &schevo_corpus::store::StoreManifest {
-        self.store.manifest()
+    /// The current manifest of the store being served.
+    ///
+    /// # Errors
+    ///
+    /// When the store no longer opens.
+    pub fn store_manifest(&self) -> Result<schevo_corpus::store::StoreManifest, StoreError> {
+        Ok(ShardStore::open(&self.config.store_dir)?.manifest().clone())
     }
 
     /// Serve one framed request stream until clean EOF, an unframeable
@@ -601,8 +603,18 @@ impl Server {
         // one append-only file with one writer. Non-durable studies run
         // concurrently up to the admission cap.
         let journal_guard = resume.then(|| self.journal_gate.lock());
+        // Re-open per study: `schevo append` republishes the manifest
+        // under a running daemon, and both the stream's record tally and
+        // the run manifest must describe the store this study mines.
+        let store = match ShardStore::open(&self.config.store_dir) {
+            Ok(store) => store,
+            Err(e) => {
+                self.registry.add("serve.study_errors", 1);
+                return Response::error(Some(id), &format!("cannot open store: {e}"));
+            }
+        };
         let started = Instant::now();
-        let (outcome, overrun) = watchdog(deadline, || try_run_study_engine(&engine, &self.store));
+        let (outcome, overrun) = watchdog(deadline, || try_run_study_engine(&engine, &store));
         drop(journal_guard);
         let study = match outcome {
             Ok(study) => study,
@@ -636,7 +648,7 @@ impl Server {
             }
         }
         let snapshot = request_registry.snapshot();
-        let store_manifest = self.store.manifest();
+        let store_manifest = store.manifest();
         let manifest = RunManifest {
             manifest_version: MANIFEST_VERSION,
             command: "serve".to_string(),

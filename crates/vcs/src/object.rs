@@ -4,7 +4,7 @@
 //! so that equal objects always share an address and the address never
 //! depends on process state.
 
-use crate::sha1::{sha1, Digest};
+use crate::sha1::{Digest, Sha1};
 use crate::timestamp::Timestamp;
 use bytes::Bytes;
 use std::collections::BTreeMap;
@@ -25,10 +25,9 @@ impl Blob {
     /// The blob's content address (`blob <len>\0<data>`, exactly git's
     /// scheme).
     pub fn id(&self) -> Digest {
-        let mut buf = Vec::with_capacity(self.data.len() + 16);
-        buf.extend_from_slice(format!("blob {}\0", self.data.len()).as_bytes());
-        buf.extend_from_slice(&self.data);
-        sha1(&buf)
+        let mut h = object_hasher("blob", self.data.len());
+        h.update(&self.data);
+        h.finalize()
     }
 
     /// Interpret the blob as UTF-8 text (lossy).
@@ -55,16 +54,15 @@ impl Tree {
 
     /// The tree's content address.
     pub fn id(&self) -> Digest {
-        let mut payload = Vec::new();
+        // Each entry is `path \0 digest`.
+        let len = self.entries.keys().map(|path| path.len() + 1 + 20).sum();
+        let mut h = object_hasher("tree", len);
         for (path, id) in &self.entries {
-            payload.extend_from_slice(path.as_bytes());
-            payload.push(0);
-            payload.extend_from_slice(&id.0);
+            h.update(path.as_bytes());
+            h.update(&[0]);
+            h.update(&id.0);
         }
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(format!("tree {}\0", payload.len()).as_bytes());
-        buf.extend_from_slice(&payload);
-        sha1(&buf)
+        h.finalize()
     }
 
     /// The blob id at `path`, if present.
@@ -102,23 +100,24 @@ pub struct Commit {
 impl Commit {
     /// The commit's content address.
     pub fn id(&self) -> Digest {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(b"tree ");
-        payload.extend_from_slice(self.tree.to_hex().as_bytes());
-        payload.push(b'\n');
+        let mut head = format!("tree {}\n", self.tree);
         for p in &self.parents {
-            payload.extend_from_slice(b"parent ");
-            payload.extend_from_slice(p.to_hex().as_bytes());
-            payload.push(b'\n');
+            head.push_str(&format!("parent {p}\n"));
         }
-        payload.extend_from_slice(format!("author {} {}\n", self.author, self.timestamp.0).as_bytes());
-        payload.push(b'\n');
-        payload.extend_from_slice(self.message.as_bytes());
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(format!("commit {}\0", payload.len()).as_bytes());
-        buf.extend_from_slice(&payload);
-        sha1(&buf)
+        head.push_str(&format!("author {} {}\n\n", self.author, self.timestamp.0));
+        let mut h = object_hasher("commit", head.len() + self.message.len());
+        h.update(head.as_bytes());
+        h.update(self.message.as_bytes());
+        h.finalize()
     }
+}
+
+/// A hasher primed with the object header `kind len\0`; the caller
+/// streams the `len` payload bytes after it.
+fn object_hasher(kind: &str, len: usize) -> Sha1 {
+    let mut h = Sha1::new();
+    h.update(format!("{kind} {len}\0").as_bytes());
+    h
 }
 
 /// Any stored object.

@@ -29,6 +29,9 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 5] = b"SVPK1";
 
+/// The smallest encoded object: an empty blob (kind byte + `u32` length).
+const MIN_OBJECT_BYTES: usize = 5;
+
 /// Errors from pack reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PackError {
@@ -313,7 +316,10 @@ pub fn read_pack(bytes: &[u8]) -> Result<Repository, PackError> {
     }
     let store = Arc::new(ObjectStore::new());
     let count = r.u32()? as usize;
-    let mut loaded: Vec<Digest> = Vec::with_capacity(count);
+    // The count is untrusted: reserve no more objects than the remaining
+    // bytes could hold, so a flipped count byte fails as a decode error
+    // instead of requesting gigabytes.
+    let mut loaded: Vec<Digest> = Vec::with_capacity(count.min(r.remaining() / MIN_OBJECT_BYTES));
     for _ in 0..count {
         let obj = read_object(&mut r)?;
         loaded.push(store.put(obj));
@@ -466,6 +472,15 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn hostile_object_count_is_an_error() {
+        let mut bytes = write_pack(&sample_repo());
+        for count in [u32::MAX, 0xFF00_0009, 1 << 20] {
+            bytes[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(read_pack(&bytes).is_err(), "count {count:#x}");
         }
     }
 

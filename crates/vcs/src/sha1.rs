@@ -14,9 +14,11 @@ pub struct Digest(pub [u8; 20]);
 impl Digest {
     /// Render as 40 lowercase hex characters.
     pub fn to_hex(&self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(40);
         for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
+            s.push(HEX[usize::from(b >> 4)] as char);
+            s.push(HEX[usize::from(b & 15)] as char);
         }
         s
     }
@@ -54,6 +56,7 @@ pub struct Sha1 {
     len_bytes: u64,
     buf: [u8; 64],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha1 {
@@ -63,97 +66,280 @@ impl Default for Sha1 {
 }
 
 impl Sha1 {
-    /// A fresh hasher with the RFC 3174 initial state.
+    /// A fresh hasher with the RFC 3174 initial state, compressing with
+    /// the fastest kernel this CPU supports.
     pub fn new() -> Self {
+        Sha1::with_kernel(Kernel::detect())
+    }
+
+    fn with_kernel(kernel: Kernel) -> Self {
         Sha1 {
             state: [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0],
             len_bytes: 0,
             buf: [0; 64],
             buf_len: 0,
+            kernel,
         }
     }
 
     /// Feed bytes.
     pub fn update(&mut self, mut data: &[u8]) {
-        self.len_bytes += data.len() as u64;
+        self.len_bytes = self.len_bytes.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(data.len());
+            let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            self.kernel.compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        // Every whole block goes to the kernel in one call; only the tail
+        // is buffered.
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            self.kernel.compress(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len_bytes * 8;
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` adjusted len_bytes; remember padding must not count, so we
-        // compute target from current buffer fill instead.
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        let mut block_tail = [0u8; 8];
-        block_tail.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&block_tail);
-        debug_assert_eq!(self.buf_len, 0);
+        // Padding: 0x80, zeros, then the 8-byte big-endian bit length,
+        // which spills into a second block when fewer than 9 bytes of the
+        // buffered one are free.
+        let mut last = [0u8; 128];
+        last[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        last[self.buf_len] = 0x80;
+        let end = if self.buf_len < 56 { 64 } else { 128 };
+        last[end - 8..end].copy_from_slice(&self.len_bytes.wrapping_mul(8).to_be_bytes());
+        self.kernel.compress(&mut self.state, &last[..end]);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// The compression function implementation a hasher runs. Both kernels
+/// produce bit-identical digests; [`Kernel::detect`] picks one from CPU
+/// features alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// Unrolled scalar code; runs everywhere.
+    Portable,
+    /// The x86-64 SHA extensions (SHA-NI).
+    #[cfg(target_arch = "x86_64")]
+    ShaNi,
+}
+
+impl Kernel {
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+        {
+            return Kernel::ShaNi;
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        Kernel::Portable
+    }
+
+    /// Compress `blocks` (a whole number of 64-byte blocks) into `state`.
+    fn compress(self, state: &mut [u32; 5], blocks: &[u8]) {
+        debug_assert_eq!(blocks.len() % 64, 0);
+        match self {
+            Kernel::Portable => compress_portable(state, blocks),
+            // SAFETY: `ShaNi` is only chosen by `detect` after the CPU
+            // reported every feature the kernel is compiled for.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::ShaNi => unsafe { sha_ni::compress(state, blocks) },
         }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
+    }
+}
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
+}
+
+/// Message word `i` of the 80-word schedule, kept in a 16-word ring:
+/// words 0..16 are the block itself, later ones overwrite the slot of
+/// the word 16 rounds back.
+#[inline(always)]
+fn word(w: &mut [u32; 16], i: usize) -> u32 {
+    if i >= 16 {
+        w[i & 15] =
+            (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15]).rotate_left(1);
+    }
+    w[i & 15]
+}
+
+/// One round. Instead of shifting `a..e` down, the callers rotate the
+/// variable names: the round's result lands in `e`, which is the next
+/// round's `a`.
+macro_rules! round {
+    ($f:ident, $k:expr, $w:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+        $e = $e
+            .wrapping_add($a.rotate_left(5))
+            .wrapping_add($f($b, $c, $d))
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// Five rounds from word `i`, after which every name holds its role again.
+macro_rules! rounds5 {
+    ($f:ident, $k:expr, $w:ident, $i:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident) => {
+        round!($f, $k, word(&mut $w, $i), $a, $b, $c, $d, $e);
+        round!($f, $k, word(&mut $w, $i + 1), $e, $a, $b, $c, $d);
+        round!($f, $k, word(&mut $w, $i + 2), $d, $e, $a, $b, $c);
+        round!($f, $k, word(&mut $w, $i + 3), $c, $d, $e, $a, $b);
+        round!($f, $k, word(&mut $w, $i + 4), $b, $c, $d, $e, $a);
+    };
+}
+
+/// The portable kernel: all 80 rounds unrolled, with the round function
+/// and constant fixed per 20-round stage instead of chosen per round.
+fn compress_portable(state: &mut [u32; 5], blocks: &[u8]) {
+    const K: [u32; 4] = [0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6];
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        for (wi, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *wi = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        rounds5!(ch, K[0], w, 0, a, b, c, d, e);
+        rounds5!(ch, K[0], w, 5, a, b, c, d, e);
+        rounds5!(ch, K[0], w, 10, a, b, c, d, e);
+        rounds5!(ch, K[0], w, 15, a, b, c, d, e);
+        rounds5!(parity, K[1], w, 20, a, b, c, d, e);
+        rounds5!(parity, K[1], w, 25, a, b, c, d, e);
+        rounds5!(parity, K[1], w, 30, a, b, c, d, e);
+        rounds5!(parity, K[1], w, 35, a, b, c, d, e);
+        rounds5!(maj, K[2], w, 40, a, b, c, d, e);
+        rounds5!(maj, K[2], w, 45, a, b, c, d, e);
+        rounds5!(maj, K[2], w, 50, a, b, c, d, e);
+        rounds5!(maj, K[2], w, 55, a, b, c, d, e);
+        rounds5!(parity, K[3], w, 60, a, b, c, d, e);
+        rounds5!(parity, K[3], w, 65, a, b, c, d, e);
+        rounds5!(parity, K[3], w, 70, a, b, c, d, e);
+        rounds5!(parity, K[3], w, 75, a, b, c, d, e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-NI kernel. `sha1rnds4` runs four rounds on `abcd` (A in the
+/// top lane) given the four message words with E already added to the
+/// first; `sha1nexte` derives that E from the `abcd` of four rounds
+/// earlier. `sha1msg1`/`sha1msg2` extend the schedule four words at a
+/// time.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use std::arch::x86_64::*;
+
+    /// Four rounds with stage function `$f`: `$prev` holds the `abcd` of
+    /// four rounds back and receives the new one.
+    macro_rules! rounds4 {
+        ($cur:ident, $prev:ident, $w:expr, $f:literal) => {
+            $prev = _mm_sha1rnds4_epu32($cur, _mm_sha1nexte_epu32($prev, $w), $f);
+        };
+    }
+
+    /// The next four schedule words from the previous sixteen.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha1msg2_epu32(_mm_xor_si128(_mm_sha1msg1_epu32($w0, $w1), $w2), $w3)
+        };
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support SHA, SSSE3 and SSE4.1 (SSE2 is part of
+    /// x86-64). A trailing partial block is ignored, as in the portable
+    /// kernel.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+        // Reverses all 16 bytes: big-endian words, first word on top.
+        let bswap = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0a0b_0c0d_0e0f);
+        let mut abcd = _mm_set_epi32(
+            state[0] as i32,
+            state[1] as i32,
+            state[2] as i32,
+            state[3] as i32,
+        );
+        let mut e = _mm_set_epi32(state[4] as i32, 0, 0, 0);
+        for block in blocks.chunks_exact(64) {
+            let p = block.as_ptr().cast::<__m128i>();
+            let mut w0 = _mm_shuffle_epi8(_mm_loadu_si128(p), bswap);
+            let mut w1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), bswap);
+            let mut w2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), bswap);
+            let mut w3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), bswap);
+            // `h0`/`h1` alternate as the current and previous `abcd`.
+            let mut h0 = abcd;
+            let mut h1 = _mm_sha1rnds4_epu32(h0, _mm_add_epi32(e, w0), 0);
+            rounds4!(h1, h0, w1, 0);
+            rounds4!(h0, h1, w2, 0);
+            rounds4!(h1, h0, w3, 0);
+            let mut w4 = schedule!(w0, w1, w2, w3);
+            rounds4!(h0, h1, w4, 0);
+            w0 = schedule!(w1, w2, w3, w4);
+            rounds4!(h1, h0, w0, 1);
+            w1 = schedule!(w2, w3, w4, w0);
+            rounds4!(h0, h1, w1, 1);
+            w2 = schedule!(w3, w4, w0, w1);
+            rounds4!(h1, h0, w2, 1);
+            w3 = schedule!(w4, w0, w1, w2);
+            rounds4!(h0, h1, w3, 1);
+            w4 = schedule!(w0, w1, w2, w3);
+            rounds4!(h1, h0, w4, 1);
+            w0 = schedule!(w1, w2, w3, w4);
+            rounds4!(h0, h1, w0, 2);
+            w1 = schedule!(w2, w3, w4, w0);
+            rounds4!(h1, h0, w1, 2);
+            w2 = schedule!(w3, w4, w0, w1);
+            rounds4!(h0, h1, w2, 2);
+            w3 = schedule!(w4, w0, w1, w2);
+            rounds4!(h1, h0, w3, 2);
+            w4 = schedule!(w0, w1, w2, w3);
+            rounds4!(h0, h1, w4, 2);
+            w0 = schedule!(w1, w2, w3, w4);
+            rounds4!(h1, h0, w0, 3);
+            w1 = schedule!(w2, w3, w4, w0);
+            rounds4!(h0, h1, w1, 3);
+            w2 = schedule!(w3, w4, w0, w1);
+            rounds4!(h1, h0, w2, 3);
+            w3 = schedule!(w4, w0, w1, w2);
+            rounds4!(h0, h1, w3, 3);
+            w4 = schedule!(w0, w1, w2, w3);
+            rounds4!(h1, h0, w4, 3);
+            // After 20 groups `h0` is the final `abcd` and `h1` the one
+            // before it, whose rotated A is the final E.
+            abcd = _mm_add_epi32(abcd, h0);
+            e = _mm_sha1nexte_epu32(h1, e);
+        }
+        state[0] = _mm_extract_epi32(abcd, 3) as u32;
+        state[1] = _mm_extract_epi32(abcd, 2) as u32;
+        state[2] = _mm_extract_epi32(abcd, 1) as u32;
+        state[3] = _mm_extract_epi32(abcd, 0) as u32;
+        state[4] = _mm_extract_epi32(e, 3) as u32;
     }
 }
 
@@ -167,35 +353,97 @@ pub fn sha1(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    // Reference vectors from RFC 3174 and FIPS 180-1.
+    /// Every kernel this CPU runs: the portable reference always, SHA-NI
+    /// when the CPU has it.
+    fn kernels() -> Vec<Kernel> {
+        let mut out = vec![Kernel::Portable];
+        if Kernel::detect() != Kernel::Portable {
+            out.push(Kernel::detect());
+        }
+        out
+    }
+
+    fn digest_with(kernel: Kernel, data: &[u8]) -> String {
+        let mut h = Sha1::with_kernel(kernel);
+        h.update(data);
+        h.finalize().to_hex()
+    }
+
+    // Reference vectors from RFC 3174 and FIPS 180-1, through every kernel.
     #[test]
     fn rfc3174_test_vectors() {
-        assert_eq!(
-            sha1(b"abc").to_hex(),
-            "a9993e364706816aba3e25717850c26c9cd0d89d"
-        );
-        assert_eq!(
-            sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
-        assert_eq!(
-            sha1(b"").to_hex(),
-            "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        );
+        let repeated = b"01234567".repeat(80);
+        let vectors: [(&[u8], &str); 4] = [
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+            (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (&repeated, "dea356a2cddd90c7a7ecedc5ebb563934f460452"),
+        ];
+        for kernel in kernels() {
+            for (input, expected) in vectors {
+                assert_eq!(digest_with(kernel, input), expected, "{kernel:?}");
+            }
+        }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha1::new();
         let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for kernel in kernels() {
+            let mut h = Sha1::with_kernel(kernel);
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                h.finalize().to_hex(),
+                "34aa973cd4c4daa4f61eeb2bdbad27316534016f",
+                "{kernel:?}"
+            );
         }
+    }
+
+    #[test]
+    fn detected_kernel_matches_cpu() {
+        #[cfg(target_arch = "x86_64")]
         assert_eq!(
-            h.finalize().to_hex(),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f"
+            Kernel::detect() == Kernel::ShaNi,
+            std::is_x86_feature_detected!("sha")
+                && std::is_x86_feature_detected!("ssse3")
+                && std::is_x86_feature_detected!("sse4.1")
         );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(Kernel::detect(), Kernel::Portable);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every kernel, fed any chunking of any input up to 8 KB, gives
+        /// the portable kernel's one-shot digest.
+        #[test]
+        fn kernels_agree_over_lengths_and_chunkings(
+            data in prop::collection::vec(any::<u8>(), 0..8192),
+            cuts in prop::collection::vec(0usize..8192, 0..12),
+        ) {
+            let reference = digest_with(Kernel::Portable, &data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            for kernel in kernels() {
+                let mut h = Sha1::with_kernel(kernel);
+                let mut from = 0;
+                for &cut in cuts.iter().chain([data.len()].iter()) {
+                    h.update(&data[from..cut]);
+                    from = cut;
+                }
+                prop_assert_eq!(h.finalize().to_hex(), reference.clone(), "{:?}", kernel);
+            }
+            prop_assert_eq!(sha1(&data).to_hex(), reference);
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ cd "$(dirname "$0")/.."
 echo "==> build (release)"
 cargo build --release --workspace
 
-echo "==> tests"
-cargo test -q --release
+echo "==> tests (every crate of the workspace)"
+cargo test -q --release --workspace
 
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -74,11 +74,6 @@ if ! grep -q '^# TYPE mine_parse_misses counter$' "$tmp/obs-metrics.prom" \
   exit 1
 fi
 echo "    prometheus export well-formed"
-
-echo "==> chaos: fault-injection suite"
-cargo test -q --release -p schevo-pipeline --test chaos_differential
-cargo test -q --release -p schevo-ddl --test proptest_chaos
-cargo test -q --release -p schevo-corpus faultgen
 
 echo "==> chaos: graceful vs strict, black-box"
 # A clean study must produce identical stdout with and without --strict

@@ -723,14 +723,16 @@ fn cmd_serve(args: &[String]) -> i32 {
             return 1;
         }
     };
-    events::info(
-        "serve",
-        &format!(
-            "store has {} records ({} appended)",
-            server.store_manifest().records,
-            server.store_manifest().appended_records()
-        ),
-    );
+    if let Ok(manifest) = server.store_manifest() {
+        events::info(
+            "serve",
+            &format!(
+                "store has {} records ({} appended)",
+                manifest.records,
+                manifest.appended_records()
+            ),
+        );
+    }
     let listener = if let Some(path) = flag_value(args, "--socket") {
         let _ = std::fs::remove_file(&path);
         match std::os::unix::net::UnixListener::bind(&path) {
