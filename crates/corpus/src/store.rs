@@ -646,9 +646,8 @@ struct ShardCursor {
     dead: bool,
     open_error: Option<String>,
     /// Reused payload scratch: each `refill` overwrites it in place and
-    /// decodes straight out of it, so a streamed read performs one payload
-    /// allocation per shard (growing to the largest frame seen) instead of
-    /// one per frame.
+    /// decodes straight out of it, so a streamed read allocates only
+    /// while the buffer grows to the largest frame seen, not per frame.
     payload_buf: Vec<u8>,
 }
 
@@ -794,8 +793,20 @@ impl StoreStream {
             };
             return;
         }
-        cursor.payload_buf.resize(len as usize, 0);
-        if let Err(detail) = Self::read_frame_bytes(file, &mut cursor.payload_buf, false) {
+        // The length is not trusted until the payload arrives: the
+        // scratch buffer grows with the bytes actually read, so a frame
+        // claiming more than the shard holds cannot force the claimed
+        // allocation.
+        cursor.payload_buf.clear();
+        let read = match file
+            .take(u64::from(len))
+            .read_to_end(&mut cursor.payload_buf)
+        {
+            Ok(got) if got == len as usize => Ok(()),
+            Ok(got) => Err(format!("truncated frame: {got} of {len} bytes")),
+            Err(e) => Err(format!("read: {e}")),
+        };
+        if let Err(detail) = read {
             cursor.dead = true;
             self.pending[i] = Pending::Corrupt {
                 offset: frame_offset,

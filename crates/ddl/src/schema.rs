@@ -8,8 +8,11 @@
 use crate::arena::{ArenaStatement, ScriptArena};
 use crate::ast::Script;
 use crate::types::DataType;
+use serde::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 /// One attribute (column) of a table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -205,10 +208,45 @@ fn column_to_attribute(col: &crate::ast::ColumnDef) -> Attribute {
 }
 
 /// A logical schema: the tables of one DDL file version, in file order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+///
+/// A schema is shared copy-on-write: cloning bumps a reference count,
+/// and the mutators copy the tables first only while another clone
+/// still shares them. A parsed schema can therefore sit in the parse
+/// cache and in every history that reuses it without being duplicated.
+#[derive(Clone, PartialEq, Default)]
 pub struct Schema {
+    inner: Arc<SchemaTables>,
+}
+
+/// The shared body of a [`Schema`]; it also gives the schema its
+/// serialized form.
+#[derive(Clone, PartialEq, Default, Serialize, Deserialize)]
+struct SchemaTables {
     tables: Vec<Table>,
     index: HashMap<String, usize>,
+}
+
+impl fmt::Debug for Schema {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Schema")
+            .field("tables", &self.inner.tables)
+            .field("index", &self.inner.index)
+            .finish()
+    }
+}
+
+impl Serialize for Schema {
+    fn to_value(&self) -> Value {
+        self.inner.to_value()
+    }
+}
+
+impl Deserialize for Schema {
+    fn from_value(v: &Value) -> Result<Schema, serde::de::Error> {
+        Ok(Schema {
+            inner: Arc::new(SchemaTables::from_value(v)?),
+        })
+    }
 }
 
 impl Schema {
@@ -401,19 +439,22 @@ impl Schema {
     /// Insert a table, replacing any previous definition of the same name
     /// (the replacement keeps the original file position).
     pub fn upsert_table(&mut self, table: Table) {
-        if let Some(&i) = self.index.get(&table.name) {
-            self.tables[i] = table;
+        let inner = Arc::make_mut(&mut self.inner);
+        if let Some(&i) = inner.index.get(&table.name) {
+            inner.tables[i] = table;
         } else {
-            self.index.insert(table.name.clone(), self.tables.len());
-            self.tables.push(table);
+            inner.index.insert(table.name.clone(), inner.tables.len());
+            inner.tables.push(table);
         }
     }
 
     /// Remove a table by name, returning it if present.
     pub fn remove_table(&mut self, name: &str) -> Option<Table> {
-        let i = self.index.remove(name)?;
-        let t = self.tables.remove(i);
-        for v in self.index.values_mut() {
+        let i = *self.inner.index.get(name)?;
+        let inner = Arc::make_mut(&mut self.inner);
+        inner.index.remove(name);
+        let t = inner.tables.remove(i);
+        for v in inner.index.values_mut() {
             if *v > i {
                 *v -= 1;
             }
@@ -423,38 +464,38 @@ impl Schema {
 
     /// Tables in file order.
     pub fn tables(&self) -> &[Table] {
-        &self.tables
+        &self.inner.tables
     }
 
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Option<&Table> {
-        self.index.get(name).map(|&i| &self.tables[i])
+        self.inner.index.get(name).map(|&i| &self.inner.tables[i])
     }
 
     /// Mutable lookup by name.
     pub fn table_mut(&mut self, name: &str) -> Option<&mut Table> {
-        let i = *self.index.get(name)?;
-        Some(&mut self.tables[i])
+        let i = *self.inner.index.get(name)?;
+        Some(&mut Arc::make_mut(&mut self.inner).tables[i])
     }
 
     /// Number of tables — the paper's *schema size* in tables.
     pub fn table_count(&self) -> usize {
-        self.tables.len()
+        self.inner.tables.len()
     }
 
     /// Total number of attributes — the paper's *schema size* in attributes.
     pub fn attribute_count(&self) -> usize {
-        self.tables.iter().map(|t| t.arity()).sum()
+        self.inner.tables.iter().map(|t| t.arity()).sum()
     }
 
     /// Whether the schema has no tables at all.
     pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
+        self.inner.tables.is_empty()
     }
 
     /// Iterate table names in file order.
     pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.iter().map(|t| t.name.as_str())
+        self.inner.tables.iter().map(|t| t.name.as_str())
     }
 }
 

@@ -72,8 +72,10 @@ mod tests {
             return;
         }
         // Push the watermark up, then reset: the new reading must not
-        // exceed the old one (it tracks only post-reset usage).
-        let ballast = vec![0u8; 8 << 20];
+        // exceed the old one (it tracks only post-reset usage). The
+        // ballast is written, not zero-allocated, so its pages are
+        // resident and leave headroom for the other tests' allocations.
+        let ballast = std::hint::black_box(vec![1u8; 8 << 20]);
         let before = peak_rss_bytes().expect("VmHWM readable");
         drop(ballast);
         if reset_peak_rss() {

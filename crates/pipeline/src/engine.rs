@@ -197,7 +197,13 @@ impl MiningEngine {
         // parses allocated.
         let arena_bytes_at_start = schevo_ddl::arena_bytes_total();
         let reed = o.reed_threshold.unwrap_or(REED_THRESHOLD);
-        let caches = o.cache.then(|| self.warm.clone().unwrap_or_default());
+        // A warm cache admits on first sighting, a pass-local one on
+        // second (see `MineCaches`).
+        let caches = o.cache.then(|| {
+            self.warm
+                .clone()
+                .unwrap_or_else(|| Arc::new(MineCaches::pass_local()))
+        });
         let deadline = o.durability.deadline;
         let size_hint = source.size_hint();
         let workers = o

@@ -16,11 +16,12 @@
 //! [`MineCaches`] keys parses by the SHA-1 of the DDL blob and diffs by
 //! the digest *pair* of the two versions. DDL files change rarely
 //! relative to history length, and generated corpora share blobs across
-//! projects, so repeated content parses once and identical version
-//! pairs diff once. Both `parse_schema` and `diff` are pure functions
-//! of blob content, so cached and uncached runs are bit-identical — the
-//! differential test suite (`tests/differential_parallel.rs`) enforces
-//! this.
+//! projects, so repeated content is parsed, and identical version pairs
+//! diffed, at most twice per pass (admission waits for the second
+//! sighting) and once per resident warm cache. Both `parse_schema` and
+//! `diff` are pure functions of blob content, so cached and uncached
+//! runs are bit-identical — the differential test suite
+//! (`tests/differential_parallel.rs`) enforces this.
 //!
 //! [`ExecStats`] reports hit/miss counters and per-stage timings so the
 //! cache's payoff is observable from `StudyResult`.
@@ -30,7 +31,7 @@ use schevo_core::diff::{diff, SchemaDelta};
 use schevo_ddl::{parse_schema, Schema};
 use schevo_vcs::sha1::Digest;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -194,13 +195,32 @@ impl ExecStats {
 /// digest pair. Lookups take the read lock; a miss recomputes outside
 /// any lock and inserts under the write lock, so a racing duplicate
 /// computation is possible but harmless — both compute the same value.
+///
+/// A cache that lives for one pass admits on *second sighting*: it
+/// stores a schema only when its blob digest repeats, and a delta only
+/// when both endpoint schemas are stored (a transition cannot repeat
+/// unless both of its blobs do). A paper-scale study repeats no blob,
+/// so its cache stays empty instead of holding every parsed schema to
+/// the end of the pass. A long-lived cache (the `Default` one behind
+/// `WarmCaches`) admits on first sighting, because every later pass
+/// re-mines the same blobs.
 #[derive(Debug, Default)]
 pub(crate) struct MineCaches {
     parse: RwLock<HashMap<Digest, Option<Schema>>>,
     diff: RwLock<HashMap<(Digest, Digest), SchemaDelta>>,
+    /// Blobs seen once and not stored; `None` admits on first sighting.
+    seen: Option<Mutex<HashSet<Digest>>>,
 }
 
 impl MineCaches {
+    /// A cache for one pass, admitting on second sighting.
+    pub(crate) fn pass_local() -> MineCaches {
+        MineCaches {
+            seen: Some(Mutex::default()),
+            ..MineCaches::default()
+        }
+    }
+
     /// Parse `content` through the cache. Returns `None` when the blob
     /// is unparseable.
     pub(crate) fn parse(
@@ -215,7 +235,13 @@ impl MineCaches {
         }
         tally.count_parse(false);
         let parsed = parse_schema(content).ok();
-        self.parse.write().insert(digest, parsed.clone());
+        let admit = match &self.seen {
+            Some(seen) => !lock(seen).insert(digest),
+            None => true,
+        };
+        if admit {
+            self.parse.write().insert(digest, parsed.clone());
+        }
         parsed
     }
 
@@ -233,7 +259,13 @@ impl MineCaches {
         }
         tally.count_diff(false);
         let delta = diff(old, new);
-        self.diff.write().insert(key, delta.clone());
+        let admit = self.seen.is_none() || {
+            let parse = self.parse.read();
+            parse.contains_key(&key.0) && parse.contains_key(&key.1)
+        };
+        if admit {
+            self.diff.write().insert(key, delta.clone());
+        }
         delta
     }
 }
@@ -382,8 +414,9 @@ pub(crate) struct StreamReport {
     pub(crate) spill_bytes: u64,
 }
 
-/// Lock a std mutex, shrugging off poisoning: the data is plain counters
-/// and queued tasks, and a worker panic is separately propagated.
+/// Lock a std mutex, shrugging off poisoning: the data is plain counters,
+/// queued tasks and digest sets, and a worker panic is separately
+/// propagated.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }

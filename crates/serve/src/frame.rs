@@ -20,6 +20,10 @@ use std::io::{Read, Write};
 /// field can force.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
 
+/// Most payload bytes reserved before they arrive: a hostile length
+/// field can pin this much per connection, not [`MAX_FRAME_LEN`].
+const PREALLOC_MAX: usize = 64 << 10;
+
 /// Frame header size: u32 length + 20-byte SHA-1. Public so the server
 /// can account true wire bytes (`header + payload`) per request in the
 /// request log without re-deriving the header layout.
@@ -90,17 +94,13 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> Result<(), F
 }
 
 /// Fill `buf` completely, distinguishing clean EOF before the first byte
-/// (`Ok(false)`, only accepted when `at_boundary`) from a torn read.
-fn read_full<R: Read + ?Sized>(
-    r: &mut R,
-    buf: &mut [u8],
-    at_boundary: bool,
-) -> Result<bool, FrameError> {
+/// (`Ok(false)`) from a torn read.
+fn read_full<R: Read + ?Sized>(r: &mut R, buf: &mut [u8]) -> Result<bool, FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
-                if filled == 0 && at_boundary {
+                if filled == 0 {
                     return Ok(false);
                 }
                 return Err(FrameError::Torn {
@@ -123,15 +123,24 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<Vec<u8>>, FrameE
         failpoint::check("serve.read")
     })?;
     let mut header = [0u8; HEADER_LEN];
-    if !read_full(r, &mut header, true)? {
+    if !read_full(r, &mut header)? {
         return Ok(None);
     }
     let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     if len == 0 || len > MAX_FRAME_LEN {
         return Err(FrameError::BadLength(len as u64));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_full(r, &mut payload, false)?;
+    // The length is not trusted until the payload arrives: past a
+    // small up-front reservation, the buffer grows with the bytes
+    // actually read, never to the claimed length.
+    let mut payload = Vec::with_capacity((len as usize).min(PREALLOC_MAX));
+    (&mut *r).take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(FrameError::Torn {
+            got: payload.len(),
+            want: len as usize,
+        });
+    }
     if sha1(&payload).0[..] != header[4..] {
         return Err(FrameError::Checksum);
     }

@@ -28,7 +28,7 @@ use schevo_pipeline::journal::DurabilityOptions;
 use schevo_pipeline::{try_run_study_engine, MiningEngine, StudyOptions, WarmCaches};
 use schevo_report::{fig04_csv, fig10_csv, study_to_json, write_atomic};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
@@ -120,6 +120,11 @@ pub enum Listener {
     Unix(UnixListener),
 }
 
+/// How many of the most recent study responses `result` can return.
+/// Older ones are answered `no result for id`, so the daemon's memory
+/// does not grow with the number of studies it has served.
+const RESULTS_KEPT: usize = 64;
+
 /// The server state shared across connection threads.
 #[derive(Debug)]
 pub struct Server {
@@ -128,7 +133,8 @@ pub struct Server {
     inflight: AtomicUsize,
     served: AtomicU64,
     next_id: AtomicU64,
-    results: Mutex<HashMap<String, Response>>,
+    /// The most recent [`RESULTS_KEPT`] study responses, oldest first.
+    results: Mutex<VecDeque<(String, Response)>>,
     registry: Registry,
     /// One journal file, one writer: durable requests serialize here.
     journal_gate: Mutex<()>,
@@ -275,7 +281,7 @@ impl Server {
             inflight: AtomicUsize::new(0),
             served: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
-            results: Mutex::new(HashMap::new()),
+            results: Mutex::new(VecDeque::new()),
             registry: Registry::new(),
             journal_gate: Mutex::new(()),
             shutdown: AtomicBool::new(false),
@@ -524,8 +530,8 @@ impl Server {
         let Some(id) = &request.id else {
             return Response::error(None, "`result` needs an `id`");
         };
-        match self.results.lock().get(id) {
-            Some(stored) => stored.clone(),
+        match self.results.lock().iter().rev().find(|(k, _)| k == id) {
+            Some((_, stored)) => stored.clone(),
             None => Response::error(request.id.clone(), &format!("no result for id `{id}`")),
         }
     }
@@ -769,7 +775,13 @@ impl Server {
             deadline_overrun_ms: overrun.map(|d| d.as_millis().max(1) as u64),
             ..Response::ok(Some(id.clone()))
         };
-        self.results.lock().insert(id, response.clone());
+        let mut results = self.results.lock();
+        results.retain(|(k, _)| *k != id);
+        if results.len() == RESULTS_KEPT {
+            results.pop_front();
+        }
+        results.push_back((id, response.clone()));
+        drop(results);
         self.served.fetch_add(1, Ordering::SeqCst);
         response
     }

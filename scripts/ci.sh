@@ -244,14 +244,16 @@ fi
 echo "    sharded backend identical to in-memory baseline"
 # The bounded-memory proof: a 20x paper-scale corpus (~2.7M records,
 # ~870 MB of shards) generated straight into the store and mined end to
-# end must stay under a fixed peak-RSS ceiling. Measured: ~138 MB. The
-# ceiling leaves allocator headroom while sitting far below the ~6.5 GB
-# a resident 20x universe costs — any regression back toward residency
-# (or unbounded reassembly buffering) blows through it immediately.
+# end, in the default configuration (parse/diff cache on), must stay
+# under a fixed peak-RSS ceiling. Measured: ~205 MB. The ceiling leaves
+# allocator headroom while sitting far below the ~6.5 GB a resident 20x
+# universe costs — any regression back toward residency (unbounded
+# reassembly buffering, or a cache that keeps every parsed schema)
+# blows through it immediately.
 RSS_CEILING_MB=256
 store_big="$tmp/store-20x"
 cargo run -q --release --bin schevo -- study --seed 2019 --scale-factor 20 \
-  --workers 1 --no-cache --store-dir "$store_big" --shards 8 \
+  --workers 1 --store-dir "$store_big" --shards 8 \
   --metrics-out "$tmp/scale-metrics.json" >/dev/null 2>&1
 rss=$(awk '/"process.peak_rss_bytes"/ { getline; gsub(/[ ,]/, ""); print; exit }' \
   "$tmp/scale-metrics.json")
